@@ -11,6 +11,9 @@
 //   * wall_ms          — real time for spawn + run (thread creation is part
 //                        of what the thread backend pays, so it counts),
 //   * events_per_sec   — Engine::dispatch_count() / wall seconds,
+//   * fast_share       — the share of those dispatches served by the
+//                        run-next fast path (Engine::fast_dispatch_count();
+//                        always 0 on the thread backend),
 //   * callback_slots_created vs callbacks_scheduled — the slot pool's
 //                        allocation savings (slots << scheduled),
 //   * a fiber stack-size ablation at the 256-host ring point
@@ -108,6 +111,7 @@ struct ScaleResult {
   long long virtual_ns = 0;
   double wall_ms = 0.0;
   std::uint64_t dispatches = 0;
+  std::uint64_t fast_dispatches = 0;
   std::uint64_t slots_created = 0;
   std::uint64_t cbs_scheduled = 0;
 };
@@ -159,6 +163,7 @@ ScaleResult measure(sim::EngineBackend backend,
   res.wall_ms =
       std::chrono::duration<double, std::milli>(wall1 - wall0).count();
   res.dispatches = engine.dispatch_count();
+  res.fast_dispatches = engine.fast_dispatch_count();
   res.slots_created = engine.alloc_stats().callback_slots_created;
   res.cbs_scheduled = engine.alloc_stats().callbacks_scheduled;
   return res;
@@ -173,6 +178,9 @@ ScaleSample to_sample(const ScaleResult& r, std::string mode, int hosts,
   s.virtual_ns = r.virtual_ns;
   s.wall_ms = r.wall_ms;
   s.dispatches = r.dispatches;
+  s.fast_share = r.dispatches > 0 ? static_cast<double>(r.fast_dispatches) /
+                                        static_cast<double>(r.dispatches)
+                                  : 0.0;
   s.events_per_sec = r.wall_ms > 0 ? 1e3 * static_cast<double>(r.dispatches) /
                                          r.wall_ms
                                    : 0.0;
@@ -222,10 +230,11 @@ std::vector<ScaleSample> sweep() {
 void print_report(const std::vector<ScaleSample>& samples) {
   Table t("Simulator scale sweep: wall-clock per backend/topology "
           "(spawn + full run)",
-          {"Hosts / mode", "Wall ms", "Mevents/s", "Slots", "Callbacks"});
+          {"Hosts / mode", "Wall ms", "Mevents/s", "Fast %", "Slots",
+           "Callbacks"});
   for (const ScaleSample& s : samples) {
     t.add_row(std::to_string(s.hosts) + " " + s.mode,
-              {s.wall_ms, s.events_per_sec / 1e6,
+              {s.wall_ms, s.events_per_sec / 1e6, 100.0 * s.fast_share,
                static_cast<double>(s.callback_slots_created),
                static_cast<double>(s.callbacks_scheduled)});
   }

@@ -235,6 +235,7 @@ struct ScaleSample {
   long long virtual_ns = 0;
   double wall_ms = 0.0;
   std::uint64_t dispatches = 0;
+  double fast_share = 0.0;  // dispatches served by the run-next fast path
   double events_per_sec = 0.0;
   std::uint64_t callback_slots_created = 0;
   std::uint64_t callbacks_scheduled = 0;
@@ -255,6 +256,7 @@ inline void write_scale_json(const std::string& path, std::string_view bench,
     out << "    {\"mode\": \"" << s.mode << "\", \"hosts\": " << s.hosts
         << ", \"rounds\": " << s.rounds << ", \"virtual_ns\": " << s.virtual_ns
         << ", \"wall_ms\": " << s.wall_ms << ", \"dispatches\": " << s.dispatches
+        << ", \"fast_share\": " << s.fast_share
         << ", \"events_per_sec\": " << s.events_per_sec
         << ", \"callback_slots_created\": " << s.callback_slots_created
         << ", \"callbacks_scheduled\": " << s.callbacks_scheduled

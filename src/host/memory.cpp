@@ -1,12 +1,29 @@
 #include "host/memory.hpp"
 
+#include <sys/mman.h>
+
+#include <new>
+
 namespace ntbshmem::host {
 
 MemoryArena::MemoryArena(std::uint64_t capacity_bytes, std::string name)
-    : name_(std::move(name)), storage_(capacity_bytes), mem_(storage_) {}
+    : name_(std::move(name)) {
+  if (capacity_bytes == 0) return;
+  // Anonymous pages are zero-filled by the kernel on first touch; nothing
+  // here writes them, so untouched capacity never becomes resident.
+  void* p = mmap(nullptr, capacity_bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  owned_ = true;
+  mem_ = std::span<std::byte>(static_cast<std::byte*>(p), capacity_bytes);
+}
 
 MemoryArena::MemoryArena(std::span<std::byte> view, std::string name)
     : name_(std::move(name)), mem_(view) {}
+
+MemoryArena::~MemoryArena() {
+  if (owned_) munmap(mem_.data(), mem_.size());
+}
 
 Region MemoryArena::allocate(std::uint64_t size, std::uint64_t align) {
   if (align == 0 || (align & (align - 1)) != 0) {

@@ -4,6 +4,10 @@
 // Regions are carved out for the symmetric heap chunks, bypass buffers and
 // scratch areas; NTB BAR windows translate into (host, region, offset)
 // targets, mirroring the BAR/translation-register scheme of Fig. 1.
+//
+// An owned arena is an anonymous private mapping: it reads as zero, and a
+// page becomes resident only when first written, so a 16-host ring of
+// 96 MiB arenas costs what the workload touches, not 1.5 GiB of memset.
 #pragma once
 
 #include <cstddef>
@@ -11,7 +15,6 @@
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 namespace ntbshmem::host {
 
@@ -37,6 +40,9 @@ class MemoryArena {
   // symmetric heap inside the mmap'ed segment (DESIGN.md §4j). The view
   // must outlive the arena; the arena never frees or grows it.
   explicit MemoryArena(std::span<std::byte> view, std::string name = "view");
+  ~MemoryArena();
+  MemoryArena(const MemoryArena&) = delete;
+  MemoryArena& operator=(const MemoryArena&) = delete;
 
   // Bump-allocates `size` bytes at `align` alignment. Throws OutOfMemory.
   Region allocate(std::uint64_t size, std::uint64_t align = 64);
@@ -58,8 +64,8 @@ class MemoryArena {
              std::uint64_t len) const;
 
   std::string name_;
-  std::vector<std::byte> storage_;  // owned mode only (view mode: empty)
-  std::span<std::byte> mem_;        // = storage_ (owned) or the external view
+  bool owned_ = false;        // mem_ is this arena's own mapping
+  std::span<std::byte> mem_;  // the owned mapping or the external view
   std::uint64_t next_ = 0;
 };
 

@@ -113,7 +113,7 @@ void Link::note_replay(End, sim::Dur stall) {
 
 sim::Dur Link::fault_replay_delay(sim::FaultPlan* plan, sim::Time now, End from,
                                   std::uint64_t bytes) const {
-  if (plan == nullptr) return 0;
+  if (plan == nullptr || plan->quiet(sim::FaultPlan::Site::kTlp)) return 0;
   // Stream key matches the BandwidthResource carrying this direction, so a
   // targeted test can arm "link0-1.a2b" directly.
   const std::string wire = name_ + (from == End::kA ? ".a2b" : ".b2a");

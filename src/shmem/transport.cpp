@@ -5,6 +5,8 @@
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 
 #include "common/sorted.hpp"
 #include "shmem/runtime.hpp"
@@ -264,8 +266,22 @@ const TransportTuning& Transport::tuning() const {
   return runtime_.options().tuning;
 }
 
-void Transport::trace(const char* category, const std::string& message) {
-  runtime_.trace().record(runtime_.engine().now(), category, message);
+namespace {
+void append_trace_part(std::string& out, const char* s) { out += s; }
+template <class Int>
+  requires std::is_integral_v<Int>
+void append_trace_part(std::string& out, Int v) {
+  out += std::to_string(v);
+}
+}  // namespace
+
+template <class... Parts>
+void Transport::trace(const char* category, const Parts&... parts) {
+  sim::TraceRecorder& recorder = runtime_.trace();
+  if (!recorder.enabled()) return;
+  std::string message;
+  (append_trace_part(message, parts), ...);
+  recorder.record(runtime_.engine().now(), category, std::move(message));
 }
 
 void Transport::charge_local_copy(std::uint64_t bytes) {
@@ -401,8 +417,7 @@ void Transport::on_ack(int p) {
     // Corrupted ack word: ignore it; the retransmit timeout recovers and
     // the eventual duplicate is re-acked by the receiver.
     ++stats_.invalid_acks_dropped;
-    trace("retry", "host" + std::to_string(host_id_) +
-                       " invalid ack word dropped");
+    trace("retry", "host", host_id_, " invalid ack word dropped");
     return;
   }
   flight_.log(runtime_.engine().now(), obs::FlightCode::kAck,
@@ -566,10 +581,8 @@ void Transport::emit_frame(int p, const FrameHeader& hdr, int doorbell,
   flight_.log(runtime_.engine().now(), obs::FlightCode::kFrameTx,
               static_cast<std::uint16_t>(p),
               static_cast<std::uint32_t>(doorbell), hdr.id);
-  trace("frame.tx", "host" + std::to_string(host_id_) + " kind=" + std::to_string(static_cast<int>(hdr.kind)) +
-                        " origin=" + std::to_string(hdr.origin_pe) +
-                        " target=" + std::to_string(hdr.target_pe) +
-                        " id=" + std::to_string(hdr.id));
+  trace("frame.tx", "host", host_id_, " kind=", static_cast<int>(hdr.kind),
+        " origin=", hdr.origin_pe, " target=", hdr.target_pe, " id=", hdr.id);
 }
 
 Transport::TxChannel::InFlight* Transport::find_inflight(TxChannel& ch,
@@ -599,8 +612,7 @@ void Transport::on_ack_timeout(int p, std::uint8_t seq) {
   flight_.log(runtime_.engine().now(), obs::FlightCode::kAckTimeout,
               static_cast<std::uint16_t>(p),
               static_cast<std::uint32_t>(rec->retries), seq);
-  trace("retry", "host" + std::to_string(host_id_) + " ack timeout seq=" +
-                     std::to_string(seq));
+  trace("retry", "host", host_id_, " ack timeout seq=", seq);
   retx_queue_.push_back(RetxRequest{p, seq});
   rel_event_->notify_all();
 }
@@ -615,8 +627,7 @@ void Transport::on_nak(int p) {
   const std::uint8_t seq = ch.inflight.front().seq;
   flight_.log(runtime_.engine().now(), obs::FlightCode::kNak,
               static_cast<std::uint16_t>(p), seq);
-  trace("retry", "host" + std::to_string(host_id_) + " nak -> retransmit seq=" +
-                     std::to_string(seq));
+  trace("retry", "host", host_id_, " nak -> retransmit seq=", seq);
   retx_queue_.push_back(RetxRequest{p, seq});
   rel_event_->notify_all();
 }
@@ -653,9 +664,8 @@ void Transport::retransmit(int p, std::uint8_t seq) {
   flight_.log(runtime_.engine().now(), obs::FlightCode::kRetransmit,
               static_cast<std::uint16_t>(p),
               static_cast<std::uint32_t>(rec->retries), seq);
-  trace("retry", "host" + std::to_string(host_id_) + " retransmit seq=" +
-                     std::to_string(seq) + " attempt=" +
-                     std::to_string(rec->retries));
+  trace("retry", "host", host_id_, " retransmit seq=", seq, " attempt=",
+        rec->retries);
   // Header-only re-emission: the payload still sits in the credit-owned
   // staging slot (credits are released by the retiring ack, never earlier).
   // Copy what we need before blocking — the ack for the original emission
@@ -751,9 +761,8 @@ void Transport::window_write(int p, int window, host::Region region,
           flight_.log(engine.now(), obs::FlightCode::kDmaError,
                       static_cast<std::uint16_t>(p),
                       static_cast<std::uint32_t>(attempts));
-          trace("retry", "host" + std::to_string(host_id_) +
-                             " dma descriptor error, retry " +
-                             std::to_string(attempts));
+          trace("retry", "host", host_id_, " dma descriptor error, retry ",
+                attempts);
           out.clear_dma_error();
           // Re-program the descriptor from scratch (pays dma_setup again).
           ok = out.dma_write(window, off + done, piece,
@@ -897,9 +906,8 @@ void Transport::put(std::uint64_t heap_offset, std::span<const std::byte> src,
               static_cast<std::uint32_t>(src.size()));
   engine.wait_for(timing().sw_overhead);
   ++stats_.puts_issued;
-  trace("op", "pe" + std::to_string(origin_pe) + " put target=" +
-                  std::to_string(target_pe) +
-                  " bytes=" + std::to_string(src.size()));
+  trace("op", "pe", origin_pe, " put target=", target_pe,
+        " bytes=", src.size());
   if (src.empty()) return;
   SymmetricHeap& target_heap = runtime_.context(target_pe).heap();
 
@@ -1324,9 +1332,8 @@ void Transport::send_barrier_token(int dst_host, int phase,
   // (one 64-byte control chunk).
   send_message_chunked(routes().next_port(host_id_, dst_host), msg, cause);
   ++stats_.barrier_tokens_sent;
-  trace("barrier", "host" + std::to_string(host_id_) + " token " +
-                       (phase == 0 ? "up" : "down") + " -> host" +
-                       std::to_string(dst_host));
+  trace("barrier", "host", host_id_, " token ", phase == 0 ? "up" : "down",
+        " -> host", dst_host);
 }
 
 // ---- receive side -------------------------------------------------------------
@@ -1346,12 +1353,12 @@ void Transport::rx_service_body() {
           break;
         case RxTokenKind::kBarrierStart:
           ++barrier_start_tokens_;
-          trace("barrier", "host" + std::to_string(host_id_) + " rx start");
+          trace("barrier", "host", host_id_, " rx start");
           barrier_event_->notify_all();
           break;
         case RxTokenKind::kBarrierEnd:
           ++barrier_end_tokens_;
-          trace("barrier", "host" + std::to_string(host_id_) + " rx end");
+          trace("barrier", "host", host_id_, " rx end");
           barrier_event_->notify_all();
           break;
       }
@@ -1452,8 +1459,7 @@ bool Transport::accept_frame_seq(const RxToken& token, const FrameHeader& f) {
     ++stats_.frames_duplicate_dropped;
     flight_.log(runtime_.engine().now(), obs::FlightCode::kDupDrop,
                 static_cast<std::uint16_t>(token.from), f.flags);
-    trace("retry", "host" + std::to_string(host_id_) + " duplicate seq=" +
-                       std::to_string(f.flags) + " re-acked");
+    trace("retry", "host", host_id_, " duplicate seq=", f.flags, " re-acked");
     ack_frame(token.from);
     return false;
   }
@@ -1462,9 +1468,8 @@ bool Transport::accept_frame_seq(const RxToken& token, const FrameHeader& f) {
   ++stats_.frames_out_of_order_dropped;
   flight_.log(runtime_.engine().now(), obs::FlightCode::kOooDrop,
               static_cast<std::uint16_t>(token.from), f.flags, expected);
-  trace("retry", "host" + std::to_string(host_id_) + " out-of-order seq=" +
-                     std::to_string(f.flags) + " expected=" +
-                     std::to_string(expected));
+  trace("retry", "host", host_id_, " out-of-order seq=", f.flags,
+        " expected=", expected);
   nak_frame(token.from);
   return false;
 }
@@ -1517,18 +1522,15 @@ void Transport::process_frame(const RxToken& token) {
       ++stats_.frames_corrupt_dropped;
       flight_.log(engine.now(), obs::FlightCode::kChecksumDrop,
                   static_cast<std::uint16_t>(from), 0, frame_checksum(regs));
-      trace("retry", "host" + std::to_string(host_id_) +
-                         " checksum mismatch -> nak");
+      trace("retry", "host", host_id_, " checksum mismatch -> nak");
       nak_frame(from);
       return;
     }
     if (!accept_frame_seq(token, f)) return;
   }
   ++stats_.frames_received;
-  trace("frame.rx", "host" + std::to_string(host_id_) + " kind=" + std::to_string(static_cast<int>(f.kind)) +
-                        " origin=" + std::to_string(f.origin_pe) +
-                        " target=" + std::to_string(f.target_pe) +
-                        " id=" + std::to_string(f.id));
+  trace("frame.rx", "host", host_id_, " kind=", static_cast<int>(f.kind),
+        " origin=", f.origin_pe, " target=", f.target_pe, " id=", f.id);
 
   switch (f.kind) {
     case FrameKind::kDirectPut: {
@@ -1609,9 +1611,8 @@ bool Transport::try_cut_through(const FrameHeader& f, int from,
                                       forward_port(mh.target_pe, from)})
              .first;
     ++stats_.messages_forwarded;
-    trace("cut_through", "host" + std::to_string(host_id_) + " msg " +
-                             std::to_string(f.id) + " -> out msg " +
-                             std::to_string(it->second.out_msg_id));
+    trace("cut_through", "host", host_id_, " msg ", f.id, " -> out msg ",
+          it->second.out_msg_id);
   }
   CutThrough& ct = it->second;
   // Copy the chunk out of the staging slot and put it on the forward queue
@@ -1687,8 +1688,8 @@ void Transport::dispatch_message(std::vector<std::byte> message, int from) {
       } else {
         ++barrier_down_tokens_;
       }
-      trace("barrier", "host" + std::to_string(host_id_) + " rx token " +
-                           (mh.operand1 == 0 ? "up" : "down"));
+      trace("barrier", "host", host_id_, " rx token ",
+            mh.operand1 == 0 ? "up" : "down");
       barrier_event_->notify_all();
       return;
   }

@@ -514,8 +514,11 @@ class Transport {
   void send_barrier_token(int dst_host, int phase,
                           const obs::TraceCtx& cause = {});
 
-  // Appends a protocol-trace record when tracing is enabled.
-  void trace(const char* category, const std::string& message);
+  // Appends a protocol-trace record when tracing is enabled. The message is
+  // the concatenation of `parts` (C strings and integers), formatted only
+  // while the recorder is on: a disabled recorder costs one branch.
+  template <class... Parts>
+  void trace(const char* category, const Parts&... parts);
   // ---- observability ----
   // Caches tracks/categories/instruments from the engine's obs::Hub (no-op
   // without one); called once from the constructor.

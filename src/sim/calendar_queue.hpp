@@ -46,6 +46,12 @@
 // heap for every workload, independent of bucket count or width — those
 // only move work between the cursor walk and the per-bucket heaps.
 //
+// runs_next() answers "would this key pop next?" without pushing it, for the
+// engine's run-next fast path. It walks the cursor over empty buckets and
+// pops stale heads that sort before the key, both of which pop_min() would
+// do anyway, and never re-anchors, so the structure it leaves behind is one
+// the order proof above already covers.
+//
 // Preconditions: item times are non-negative, and no pushed time precedes
 // the most recently popped time (the engine clamps `t < now` to `now`).
 // Pushes below the current window origin (legal before the first pop after
@@ -102,6 +108,33 @@ class CalendarQueue {
     --wheel_count_;
     --size_;
     return item;
+  }
+
+  // Run-next test behind the engine's dispatch fast path: true when `key`,
+  // were it pushed now, would be the next item pop_min() returns. Heads
+  // that sort before `key` and satisfy `stale(head)` are popped and dropped
+  // on the way, in the order pop_min() would have delivered them; a stale
+  // head after `key` is left alone. Never re-anchors: with the wheel empty
+  // the answer comes from the rungs' tracked minimum times alone, so a key
+  // at or past the earliest ladder time answers false (a tie would need the
+  // item's full key, which only a re-anchor exposes).
+  template <class Stale>
+  bool runs_next(const Item& key, Stale&& stale) {
+    while (wheel_count_ > 0) {
+      while (wheel_[cursor_ & kMask].empty()) ++cursor_;
+      std::vector<Item>& b = wheel_[cursor_ & kMask];
+      if (after_(b.front(), key)) return true;
+      if (!stale(b.front())) return false;
+      std::pop_heap(b.begin(), b.end(), after_);
+      b.pop_back();
+      --wheel_count_;
+      --size_;
+    }
+    if (size_ == 0) return true;
+    for (const Rung& r : rungs_) {
+      if (!r.items.empty() && r.min_t <= key.t) return false;
+    }
+    return true;
   }
 
   // Visits every queued item in unspecified order (wheel buckets are

@@ -397,16 +397,33 @@ void Engine::throw_deadlock() {
 
 void Engine::wait_until(Time t) {
   Process* p = require_current("wait_until");
-  if (t < now_) t = now_;
-  schedule_process(t, p);
-  p->block();
+  park_until(p, t < now_ ? now_ : t);
 }
 
 void Engine::wait_for(Dur d) { wait_until(now_ + d); }
 
-void Engine::yield() {
-  Process* p = require_current("yield");
-  schedule_process(now_, p);
+void Engine::yield() { park_until(require_current("yield"), now_); }
+
+void Engine::park_until(Process* p, Time t) {
+  const std::uint64_t seq = next_seq_++;
+  const QueueItem wake{t, seq, tie_of(seq), p, p->epoch_, 0};
+  // Run-next fast path: when this wake-up would be the very next dispatch,
+  // perform that dispatch's bookkeeping in place and keep running on this
+  // fiber. The (t, seq, kind) stream, the stale items dropped and the
+  // epoch consumed are exactly what the queue round trip would produce.
+  // A branch hook must see every dispatch, the thread backend is the
+  // ablation baseline, and a killed process has to reach block() to unwind.
+  const auto stale = [this](const QueueItem& i) { return item_stale(i); };
+  if (backend_ == EngineBackend::kFibers && hook_ == nullptr && !p->killed_ &&
+      queue_.runs_next(wake, stale)) {
+    now_ = t;
+    dispatch_count_++;
+    fast_dispatch_count_++;
+    if (digest_enabled_) digest_.mix(now_, seq, DispatchKind::kProcess);
+    p->epoch_++;
+    return;
+  }
+  queue_.push(wake);
   p->block();
 }
 

@@ -23,9 +23,12 @@
 //     selectable with NTBSHMEM_SIM_BACKEND=threads.
 //
 // Both produce bit-identical schedules (same dispatch order, same schedule
-// digests); only wall-clock cost differs. The run queue is a calendar
-// queue (sim/calendar_queue.hpp) whose dispatch order is provably the same
-// (time, tie, seq) total order a binary heap yields.
+// digests); only wall-clock cost differs. On fibers, a wait_until/yield
+// whose wake-up would be the very next dispatch skips the queue and both
+// fiber switches (the run-next fast path, DESIGN.md §4f); it dispatches the
+// same (time, seq, kind) stream the round trip would. The run queue is a
+// calendar queue (sim/calendar_queue.hpp) whose dispatch order is provably
+// the same (time, tie, seq) total order a binary heap yields.
 //
 // The engine also supports inline callbacks (`call_at`/`call_after`) that
 // run in scheduler context without a context switch — used for interrupt
@@ -214,6 +217,10 @@ class Engine {
   // stream the schedule digest folds). Drives events/sec in
   // bench_sim_engine.
   std::uint64_t dispatch_count() const { return dispatch_count_; }
+  // The part of dispatch_count() served by the run-next fast path: a
+  // wait_until/yield whose wake-up was the very next dispatch, so the
+  // process kept running without a queue round trip or fiber switch.
+  std::uint64_t fast_dispatch_count() const { return fast_dispatch_count_; }
 
   // Usable stack size for this engine's fibers (NTBSHMEM_FIBER_STACK_KiB,
   // read once at construction).
@@ -345,6 +352,9 @@ class Engine {
   void retire_slot(std::uint32_t slot);
   void cancel_callback(std::uint32_t slot, std::uint64_t gen);
 
+  // wait_until/yield body: queues `p`'s wake-up at `t` (>= now) and blocks,
+  // or takes the run-next fast path (see engine.cpp).
+  void park_until(Process* p, Time t);
   // Transfers control to `p` and waits until it yields back.
   void resume(Process* p);
   [[noreturn]] void throw_deadlock();
@@ -368,6 +378,7 @@ class Engine {
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t dispatch_count_ = 0;
+  std::uint64_t fast_dispatch_count_ = 0;
   CalendarQueue<QueueItem, QueueCmp> queue_;
   std::vector<std::unique_ptr<Process>> processes_;
   std::size_t live_nondaemon_ = 0;

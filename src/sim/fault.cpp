@@ -99,7 +99,20 @@ void FaultPlan::note(Time now, const std::string& message) {
   if (trace_ != nullptr) trace_->record(now, "fault", message);
 }
 
+bool FaultPlan::quiet(Site site) const {
+  if (hook_ != nullptr || !one_shots_.empty()) return false;
+  switch (site) {
+    case Site::kDoorbell: return spec_.doorbell_drop <= 0.0;
+    case Site::kScratchpad: return spec_.scratchpad_corrupt <= 0.0;
+    case Site::kDma: return spec_.dma_error <= 0.0;
+    case Site::kTlp: return spec_.tlp_drop <= 0.0 && spec_.tlp_corrupt <= 0.0;
+    case Site::kIrq: return spec_.irq_delay <= 0.0;
+  }
+  return false;
+}
+
 bool FaultPlan::drop_doorbell(Time now, const std::string& port, int bit) {
+  if (quiet(Site::kDoorbell)) return false;
   const std::string key = port + ":" + std::to_string(bit);
   if (hook_ != nullptr) {
     // Mask check FIRST: a masked bit (barrier circulation) must not become

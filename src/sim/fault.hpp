@@ -17,7 +17,9 @@
 // All probability rolls early-return without touching the stream when the
 // configured probability is zero, so an attached all-zero plan is exactly
 // free: no waits, no state, bit-identical virtual times (the golden-time
-// tests run with a zero plan attached).
+// tests run with a zero plan attached). Sites that build a key string per
+// decision (the doorbell "<port>:<bit>", the link wire name) first ask
+// quiet(), so an idle site costs a few compares and no allocation.
 #pragma once
 
 #include <cstdint>
@@ -129,6 +131,11 @@ class FaultPlan {
   // Firings consumed from the budget on the current run (reset by
   // set_branch_hook).
   int fires_used() const { return fires_used_; }
+
+  // True when no decision at `site` can fire: no branch hook, no armed
+  // one-shot anywhere and zero probability for the site. Callers that build
+  // a key string per decision check it first and skip the call.
+  bool quiet(Site site) const;
 
   // ---- Decision sites (called by the hardware models) -----------------------
   // True => this doorbell ring is silently lost.

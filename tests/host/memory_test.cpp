@@ -52,5 +52,26 @@ TEST(MemoryArenaTest, DataRoundTrips) {
   EXPECT_EQ(rd[3], static_cast<std::byte>(7));
 }
 
+// Owned arenas are lazily zeroed mappings: a fresh arena must still read as
+// zero everywhere, and bounds and exhaustion behave as before.
+TEST(MemoryArenaTest, FreshArenaReadsZeroAndKeepsBounds) {
+  constexpr std::uint64_t kCap = 96ull << 20;
+  MemoryArena arena(kCap, "lazy");
+  EXPECT_EQ(arena.capacity(), kCap);
+  const Region all = arena.allocate(kCap, 1);
+  const auto bytes = arena.bytes(all);
+  EXPECT_EQ(bytes[0], std::byte{0});
+  EXPECT_EQ(bytes[kCap / 2], std::byte{0});
+  EXPECT_EQ(bytes[kCap - 1], std::byte{0});
+  bytes[kCap / 2] = std::byte{0x5a};
+  EXPECT_EQ(arena.bytes(all, kCap / 2, 1)[0], std::byte{0x5a});
+  EXPECT_THROW(arena.bytes(all, kCap - 1, 2), std::out_of_range);
+  EXPECT_THROW(arena.allocate(1, 1), OutOfMemory);
+
+  MemoryArena empty(0);
+  EXPECT_EQ(empty.capacity(), 0u);
+  EXPECT_THROW(empty.allocate(1, 1), OutOfMemory);
+}
+
 }  // namespace
 }  // namespace ntbshmem::host

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/branch.hpp"
 #include "sim/fault.hpp"
 #include "sim/trace.hpp"
 
@@ -141,6 +142,40 @@ TEST(FaultPlanTest, OneShotOverridesDropMask) {
   FaultPlan plan(13, s);
   plan.arm_one_shot(FaultPlan::Site::kDoorbell, "host0.right:2");
   EXPECT_TRUE(plan.drop_doorbell(0, "host0.right", 2));
+}
+
+// quiet() lets key-building callers skip a decision that cannot fire; it
+// must turn false whenever any path through the decision could fire.
+TEST(FaultPlanTest, QuietOnlyWhenNoDecisionCanFire) {
+  using Site = FaultPlan::Site;
+  const Site sites[] = {Site::kDoorbell, Site::kScratchpad, Site::kDma,
+                        Site::kTlp, Site::kIrq};
+  FaultPlan zero(19, FaultSpec{});
+  for (const Site site : sites) EXPECT_TRUE(zero.quiet(site));
+
+  FaultSpec corrupt_only;
+  corrupt_only.tlp_corrupt = 0.01;
+  FaultPlan tlp(19, corrupt_only);
+  EXPECT_FALSE(tlp.quiet(Site::kTlp));
+  EXPECT_TRUE(tlp.quiet(Site::kDoorbell));
+
+  // An armed one-shot anywhere, even on a masked doorbell bit, disables
+  // the shortcut everywhere until it is consumed.
+  FaultSpec masked;
+  masked.doorbell_drop_mask = 0;
+  FaultPlan armed(19, masked);
+  armed.arm_one_shot(Site::kDoorbell, "host0.right:4");
+  for (const Site site : sites) EXPECT_FALSE(armed.quiet(site));
+  EXPECT_TRUE(armed.drop_doorbell(0, "host0.right", 4));
+  EXPECT_TRUE(armed.quiet(Site::kDoorbell));
+
+  // Explore mode offers every eligible site to the hook.
+  struct DeclineAll : BranchHook {
+    std::size_t choose_dispatch(std::size_t) override { return 0; }
+    bool choose_fault(int, const std::string&) override { return false; }
+  } hook;
+  zero.set_branch_hook(&hook, ~0u, 1);
+  for (const Site site : sites) EXPECT_FALSE(zero.quiet(site));
 }
 
 TEST(FaultPlanTest, CorruptionMaskIsNeverZero) {
