@@ -230,7 +230,7 @@ int main(int argc, char** argv) {
   ntbshmem::bench::write_bench_json(
       "bench_ablation_topology.json", "ablation_topology",
       "barrier_all latency and 1 MiB put+quiet across fabric topologies",
-      {ntbshmem::bench::default_backend_name(),
+      {"sim",
        "ring+chordal+torus2d+fullmesh",
        ntbshmem::shmem::RuntimeOptions{}.fault_seed},
       samples);

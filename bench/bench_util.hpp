@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -88,9 +87,9 @@ class ObsCli {
   }
 
   // Variant for the link-level benches that drive a bare sim::Engine +
-  // RingFabric without a shmem::Runtime: attach `hub` to the engine before
-  // constructing the fabric (components cache instrument pointers at
-  // construction), keeping `hub` alive past the fabric.
+  // fabric::Fabric without a shmem::Runtime: attach `hub` to the engine
+  // before constructing the fabric (components cache instrument pointers
+  // at construction), keeping `hub` alive past the fabric.
   void apply(sim::Engine& engine, obs::Hub& hub) const {
     if (tracing()) hub.tracer.set_enabled(true);
     engine.attach_obs(&hub);
@@ -139,25 +138,16 @@ class ObsCli {
 };
 
 // Self-describing artifact metadata stamped into every bench JSON file:
-// which simulator backend produced the numbers, on what fabric, and from
-// what seed — so an artifact alone (no CI log context) is reproducible.
-// Sweeps that cover several backends/topologies name the swept set
-// ("fibers+threads", "ring+torus2d"); per-sample `mode` strings carry the
-// specific point.
+// which backend produced the numbers ("sim" for the simulator, as
+// bench_workload's --backend names it), on what fabric, and from what seed
+// — so an artifact alone (no CI log context) is reproducible. Sweeps that
+// cover several topologies name the swept set ("ring+torus2d"); per-sample
+// `mode` strings carry the specific point.
 struct RunMeta {
   std::string backend;
   std::string topology;
   std::uint64_t seed = 0;
 };
-
-// The backend a default-constructed sim::Engine picks: NTBSHMEM_SIM_BACKEND
-// ("fibers" | "threads"), fibers when unset — mirrored here so benches can
-// stamp artifacts without building an engine first.
-inline std::string default_backend_name() {
-  const char* env = std::getenv("NTBSHMEM_SIM_BACKEND");
-  return env != nullptr && std::string_view(env) == "threads" ? "threads"
-                                                              : "fibers";
-}
 
 // Counter context for a bench's JSON output: sums the named per-host
 // transport metrics of one finished run so throughput samples carry the

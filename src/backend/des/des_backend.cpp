@@ -2,7 +2,7 @@
 
 #include <string>
 
-#include "fabric/ring.hpp"
+#include "fabric/fabric.hpp"
 #include "host/memory.hpp"
 #include "shmem/runtime.hpp"
 #include "shmem/transport.hpp"

@@ -79,7 +79,7 @@ Fabric::Fabric(sim::Engine& engine, const FabricConfig& config)
   // Cables are instantiated in topology link order, end A before end B —
   // on the ring this is cable i joining host i (right adapter, vector
   // base 0) with host i+1 (left adapter, vector base 16), in the exact
-  // order the original RingFabric built. The per-link DMA-rate spread
+  // order the original ring-only fabric built. The per-link DMA-rate spread
   // models the paper's per-chipset variation and cycles over links.
   links_.reserve(topology_.links().size());
   for (const LinkSpec& ls : topology_.links()) {

@@ -1,14 +1,19 @@
 // Switchless NTB fabric: hosts, adapter ports and PCIe cables instantiated
 // from a Topology wiring diagram, plus cached static routing tables.
 //
-// The default configuration (a ring) reproduces the paper's prototype
-// (Fig. 2/7) byte-for-byte: same construction order, names, vector bases
-// and per-link DMA-rate spread as the original RingFabric — which is now a
-// type alias for this class (see ring.hpp). Other topologies generalise
-// the same point-to-point NTB links into chordal rings, 2-D tori and full
-// meshes; there is still no PCIe switch anywhere, every hop is an
-// independent NTB connection and non-neighbour traffic is forwarded by
-// intermediate hosts.
+// The default configuration (a ring) is the paper's prototype (Fig. 2/7),
+// byte-for-byte: N hosts, each with two NTB host adapters; adapter pairs of
+// neighbouring hosts are cabled together, closing a ring. There is no PCIe
+// switch and no multi-root domain — every hop is an independent NTB
+// connection, and traffic to non-neighbours is forwarded by intermediate
+// hosts (the bypass mechanism of Figs. 4/5). Other topologies generalise
+// the same point-to-point links into chordal rings, 2-D tori and full
+// meshes.
+//
+// Ring routing: the paper's experiments force traffic rightward around the
+// ring (that is how a 3-host system exhibits "2 hops"); kRightOnly
+// reproduces that. kShortest picks the nearer direction and is used by
+// ablations.
 #pragma once
 
 #include <array>

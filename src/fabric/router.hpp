@@ -31,8 +31,8 @@ enum class RoutingMode : int {
   kDimensionOrder,  // torus: X fully before Y, wrap-free (deadlock-free)
 };
 
-// Legacy ring route, kept for the paper-faithful surface (ring tests and
-// the RingFabric compat API).
+// Ring route (direction + hop count), kept for the paper-faithful ring
+// surface (Fabric::route and the ring tests).
 struct Route {
   Direction dir = Direction::kRight;
   int hops = 0;

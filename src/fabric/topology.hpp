@@ -12,7 +12,7 @@
 // Generators:
 //   ring(n)           — the paper's switchless ring, port 0 = "right"
 //                       (towards host i+1), port 1 = "left". Byte-for-byte
-//                       the wiring the original RingFabric built.
+//                       the wiring the original ring-only fabric built.
 //   chordal(n, skips) — ring plus skip chords of the given strides.
 //   torus2d(r, c)     — 2-D torus, ports px/mx/py/my per host.
 //   full_mesh(n)      — one cable per host pair.

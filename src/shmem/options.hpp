@@ -8,7 +8,7 @@
 #include "backend/kind.hpp"
 #include "common/timing_params.hpp"
 #include "common/units.hpp"
-#include "fabric/ring.hpp"
+#include "fabric/fabric.hpp"
 #include "sim/fault.hpp"
 
 namespace ntbshmem::shmem {

@@ -327,7 +327,7 @@ Runtime::Runtime(const RuntimeOptions& options)
     engine_.attach_faults(fault_plan_.get());
   }
   if (backend_kind_ == backend::Kind::kSim) {
-    fabric_ = std::make_unique<fabric::RingFabric>(engine_,
+    fabric_ = std::make_unique<fabric::Fabric>(engine_,
                                                    options_.fabric_config());
     // Routing/topology compatibility: the legacy right-only circulation is
     // only defined where port 0 walks a ring, and dimension-order needs
@@ -397,7 +397,7 @@ Runtime::Runtime(const RuntimeOptions& options)
 
 Runtime::~Runtime() = default;
 
-fabric::RingFabric& Runtime::fabric() {
+fabric::Fabric& Runtime::fabric() {
   if (!fabric_) {
     throw std::logic_error(
         "Runtime::fabric(): no simulated fabric on the shm backend");

@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "backend/kind.hpp"
-#include "fabric/ring.hpp"
+#include "fabric/fabric.hpp"
 #include "obs/hub.hpp"
 #include "shmem/options.hpp"
 #include "shmem/symheap.hpp"
@@ -168,7 +168,7 @@ class Runtime {
   bool has_fabric() const { return fabric_ != nullptr; }
   // Sim-backend-only accessors; throw std::logic_error on the shm backend
   // (which has no simulated fabric or NTB transports).
-  fabric::RingFabric& fabric();
+  fabric::Fabric& fabric();
   Transport& host_transport(int host);
   Context& context(int pe) { return *contexts_.at(static_cast<std::size_t>(pe)); }
   int npes() const { return options_.npes; }
@@ -242,7 +242,7 @@ class Runtime {
   obs::Hub obs_;
   std::unique_ptr<sim::FaultPlan> fault_plan_;
   // Sim backend only (null on shm): the simulated fabric + NTB transports.
-  std::unique_ptr<fabric::RingFabric> fabric_;
+  std::unique_ptr<fabric::Fabric> fabric_;
   std::vector<std::unique_ptr<Transport>> transports_;  // one per host
   // The data-path backend; built after fabric/transports (the DES facade
   // binds them), before the contexts (whose heaps live in backend arenas).

@@ -3,7 +3,6 @@
 #include <cassert>
 #include <cstdlib>
 #include <sstream>
-#include <string_view>
 #include <utility>
 
 #include "common/log.hpp"
@@ -13,23 +12,11 @@
 namespace ntbshmem::sim {
 
 namespace {
-// The process currently executing on this OS thread (kThreads: one per
-// backing thread; kFibers: maintained across every switch on the single
-// engine thread, and doubles as the argument channel into a fresh fiber's
-// trampoline, which ucontext cannot pass parameters to).
-// detlint:allow(no-mutable-static): per-OS-thread identity binding for the serialized process model; set/cleared on every handoff, never carries state across runs
+// The process currently executing on this OS thread: maintained across
+// every fiber switch, and doubles as the argument channel into a fresh
+// fiber's trampoline, which ucontext cannot pass parameters to.
+// detlint:allow(no-mutable-static): identity of the running fiber on the engine's thread; set/cleared around every switch, never carries state across runs
 thread_local Process* t_current_process = nullptr;
-
-EngineBackend backend_from_env() {
-  const char* env = std::getenv("NTBSHMEM_SIM_BACKEND");
-  if (env == nullptr || *env == '\0') return EngineBackend::kFibers;
-  const std::string_view v(env);
-  if (v == "fibers" || v == "fiber") return EngineBackend::kFibers;
-  if (v == "threads" || v == "thread") return EngineBackend::kThreads;
-  throw std::invalid_argument(
-      "NTBSHMEM_SIM_BACKEND must be 'fibers' or 'threads', got: " +
-      std::string(v));
-}
 }  // namespace
 
 Process* current_process() noexcept { return t_current_process; }
@@ -41,30 +28,7 @@ Process::Process(Engine& engine, std::string name, std::function<void()> body,
     : engine_(engine),
       name_(std::move(name)),
       body_(std::move(body)),
-      daemon_(daemon) {
-  // Fibers are created lazily at first resume; threads must exist up front
-  // so the scheduler has something to release.
-  if (engine_.backend_ == EngineBackend::kThreads) start_thread();
-}
-
-Process::~Process() {
-  if (thread_.joinable()) thread_.join();
-}
-
-void Process::run_body_and_finish() {
-  if (!killed_) {
-    try {
-      body_();
-    } catch (const ProcessKilled&) {
-      // Normal shutdown path: unwound cleanly.
-    } catch (...) {
-      if (!engine_.first_error_) {
-        engine_.first_error_ = std::current_exception();
-      }
-    }
-  }
-  mark_finished();
-}
+      daemon_(daemon) {}
 
 void Process::mark_finished() {
   finished_ = true;
@@ -77,20 +41,21 @@ void Process::mark_finished() {
   engine_.live_count_--;
 }
 
-void Process::start_thread() {
-  thread_ = std::thread([this]() {
-    resume_.acquire();  // wait for the scheduler to start us
-    t_current_process = this;
-    run_body_and_finish();
-    t_current_process = nullptr;
-    engine_.sched_sem_.release();  // hand control back for good
-  });
-}
-
 void Process::fiber_trampoline() {
   Process* p = t_current_process;  // stashed by Engine::resume pre-switch
   Fiber::on_entry(*p->fiber_);
-  p->run_body_and_finish();
+  if (!p->killed_) {
+    try {
+      p->body_();
+    } catch (const ProcessKilled&) {
+      // Normal shutdown path: unwound cleanly.
+    } catch (...) {
+      if (!p->engine_.first_error_) {
+        p->engine_.first_error_ = std::current_exception();
+      }
+    }
+  }
+  p->mark_finished();
   p->fiber_->set_exiting();
   Fiber::switch_to(*p->fiber_, p->engine_.sched_fiber_);
   std::abort();  // a dead fiber can never be resumed
@@ -104,12 +69,7 @@ void Process::block() {
     if (std::uncaught_exceptions() == 0) throw ProcessKilled{};
     return;
   }
-  if (engine_.backend_ == EngineBackend::kThreads) {
-    engine_.sched_sem_.release();
-    resume_.acquire();
-  } else {
-    Fiber::switch_to(*fiber_, engine_.sched_fiber_);
-  }
+  Fiber::switch_to(*fiber_, engine_.sched_fiber_);
   epoch_++;  // consume: any still-queued wake-up for the old epoch is stale
   if (killed_ && std::uncaught_exceptions() == 0) throw ProcessKilled{};
 }
@@ -122,10 +82,7 @@ void CallbackHandle::cancel() {
 
 // ---- Engine ----------------------------------------------------------------
 
-Engine::Engine() : Engine(backend_from_env()) {}
-
-Engine::Engine(EngineBackend backend)
-    : backend_(backend), fiber_stack_bytes_(Fiber::default_stack_bytes()) {
+Engine::Engine() : fiber_stack_bytes_(Fiber::default_stack_bytes()) {
   // Log lines carry the virtual clock while this engine exists, so printf
   // debugging correlates with trace/metric timestamps. The owner token keeps
   // a dying engine from clobbering a newer one's registration.
@@ -201,26 +158,22 @@ void Engine::schedule_process(Time t, Process* p) {
   queue_.push(QueueItem{t, seq, tie_of(seq), p, p->epoch_, 0});
 }
 
-void Engine::resume(Process* p) {
+// `inline` keeps the fiber switch in run()'s dispatch loop instead of an
+// out-of-line call per dispatch (~10% of bench_sim_engine wall time).
+inline void Engine::resume(Process* p) {
   Process* prev = current_;
   current_ = p;
-  if (backend_ == EngineBackend::kThreads) {
+  t_current_process = p;
+  if (!p->started_) {
     p->started_ = true;
-    p->resume_.release();
-    sched_sem_.acquire();
-  } else {
-    t_current_process = p;
-    if (!p->started_) {
-      p->started_ = true;
-      p->fiber_ = std::make_unique<Fiber>(&Process::fiber_trampoline,
-                                          fiber_stack_bytes_);
-    }
-    Fiber::switch_to(sched_fiber_, *p->fiber_);
-    t_current_process = nullptr;
-    // Release the stack (and TSan handle) as soon as a process ends, not
-    // at engine teardown — scale runs retire thousands of processes.
-    if (p->finished_ && p->fiber_) p->fiber_->release_dead();
+    p->fiber_ = std::make_unique<Fiber>(&Process::fiber_trampoline,
+                                        fiber_stack_bytes_);
   }
+  Fiber::switch_to(sched_fiber_, *p->fiber_);
+  t_current_process = nullptr;
+  // Release the stack (and TSan handle) as soon as a process ends, not at
+  // engine teardown — scale runs retire thousands of processes.
+  if (p->finished_ && p->fiber_) p->fiber_->release_dead();
   current_ = prev;
 }
 
@@ -254,20 +207,21 @@ bool Engine::next_dispatch(QueueItem* out) {
   if (!pop_runnable(&first)) return false;
   // Collect every runnable item queued for the same instant. Items are
   // popped in (t, tie, seq) order, so frontier index 0 is exactly what the
-  // unhooked dispatcher would run next.
-  std::vector<QueueItem> frontier;
-  frontier.push_back(first);
+  // unhooked dispatcher would run next. Collecting has no side effects:
+  // stale items at this instant and the first item past it go back with
+  // their original keys, so pop_runnable retires them in the same pop
+  // order, and so with the same slot-pool state, as an unhooked run.
+  std::vector<QueueItem> frontier{first};
+  std::vector<QueueItem> passed;
   while (!queue_.empty()) {
     QueueItem item = queue_.pop_min();
-    if (item_stale(item)) continue;
     if (item.t != first.t) {
-      // Overshot into the next instant; re-queueing at the just-popped
-      // time is legal per the calendar queue's preconditions.
-      queue_.push(item);
+      passed.push_back(item);
       break;
     }
-    frontier.push_back(item);
+    (is_stale(item) ? passed : frontier).push_back(item);
   }
+  for (const QueueItem& item : passed) queue_.push(item);
   std::size_t pick = 0;
   if (frontier.size() > 1) {
     pick = hook_->choose_dispatch(frontier.size());
@@ -351,13 +305,7 @@ std::uint64_t Engine::state_hash() const {
   std::uint64_t summed = 0;
   std::uint64_t items = 0;
   queue_.for_each([&](const QueueItem& item) {
-    if (item.process == nullptr) {
-      const CallbackSlot& s = cb_slots_[item.cb_slot];
-      if (s.gen != item.epoch_or_gen || s.cancelled) return;  // stale
-    } else if (item.process->finished() ||
-               item.epoch_or_gen != item.process->epoch_) {
-      return;  // stale
-    }
+    if (is_stale(item)) return;
     std::uint64_t h = kFnvOffset;
     h = fnv_mix_u64(h, static_cast<std::uint64_t>(item.t - now_));
     h = fnv_mix_u64(h, item.process == nullptr ? 1u : 2u);
@@ -411,11 +359,10 @@ void Engine::park_until(Process* p, Time t) {
   // perform that dispatch's bookkeeping in place and keep running on this
   // fiber. The (t, seq, kind) stream, the stale items dropped and the
   // epoch consumed are exactly what the queue round trip would produce.
-  // A branch hook must see every dispatch, the thread backend is the
-  // ablation baseline, and a killed process has to reach block() to unwind.
+  // A branch hook must see every dispatch, and a killed process has to
+  // reach block() to unwind.
   const auto stale = [this](const QueueItem& i) { return item_stale(i); };
-  if (backend_ == EngineBackend::kFibers && hook_ == nullptr && !p->killed_ &&
-      queue_.runs_next(wake, stale)) {
+  if (hook_ == nullptr && !p->killed_ && queue_.runs_next(wake, stale)) {
     now_ = t;
     dispatch_count_++;
     fast_dispatch_count_++;
@@ -443,10 +390,7 @@ void Engine::shutdown() {
   for (auto& p : processes_) {
     if (p->finished()) continue;
     p->killed_ = true;
-    if (backend_ == EngineBackend::kThreads) {
-      p->resume_.release();
-      sched_sem_.acquire();
-    } else if (!p->started_) {
+    if (!p->started_) {
       // Never entered its fiber — nothing to unwind, no stack was built.
       p->mark_finished();
     } else {
@@ -454,7 +398,7 @@ void Engine::shutdown() {
     }
     assert(p->finished());
   }
-  // Threads are joined by ~Process; fiber stacks were released on finish.
+  // Fiber stacks were released on finish.
 }
 
 }  // namespace ntbshmem::sim

@@ -12,21 +12,13 @@
 //   * zero wall-clock dependence: the virtual clock is driven purely by the
 //     timing model.
 //
-// Two backends implement the process mechanics behind the same API:
-//
-//   * kFibers (default): stackful ucontext fibers with guard-paged stacks
-//     (sim/fiber.hpp). A process switch is one user-space context swap, so
-//     the engine scales to thousands of processes — 1024-host fabric
-//     sweeps run where the thread backend thrashes (bench_sim_engine).
-//   * kThreads: the original OS-thread-per-process backend, serialized by
-//     semaphore handoffs. Kept as the before/after ablation baseline and
-//     selectable with NTBSHMEM_SIM_BACKEND=threads.
-//
-// Both produce bit-identical schedules (same dispatch order, same schedule
-// digests); only wall-clock cost differs. On fibers, a wait_until/yield
-// whose wake-up would be the very next dispatch skips the queue and both
-// fiber switches (the run-next fast path, DESIGN.md §4f); it dispatches the
-// same (time, seq, kind) stream the round trip would. The run queue is a
+// Every process runs on a stackful ucontext fiber with a guard-paged stack
+// (sim/fiber.hpp), all on the engine's own OS thread. A process switch is
+// one user-space context swap, so the engine scales to thousands of
+// processes (bench_sim_engine sweeps 1024 hosts). A wait_until/yield whose
+// wake-up would be the very next dispatch skips the queue and both fiber
+// switches (the run-next fast path, DESIGN.md §4f); it dispatches the same
+// (time, seq, kind) stream the round trip would. The run queue is a
 // calendar queue (sim/calendar_queue.hpp) whose dispatch order is provably
 // the same (time, tie, seq) total order a binary heap yields.
 //
@@ -36,9 +28,9 @@
 // state is pooled: the hot path (a DMA completion timer re-armed per
 // segment) recycles a slot instead of heap-allocating per callback.
 //
-// Thread-safety: none needed. All processes are serialized by
-// construction; engine state is only ever touched by the single active
-// context.
+// Thread-safety: none needed. All processes share one OS thread and are
+// serialized by construction; engine state is only ever touched by the
+// single active context.
 #pragma once
 
 #include <cstdint>
@@ -46,10 +38,8 @@
 #include <exception>
 #include <functional>
 #include <memory>
-#include <semaphore>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sim/audit.hpp"
@@ -82,14 +72,10 @@ class SimDeadlock : public std::runtime_error {
 
 enum class WakeReason : std::uint8_t { kNone, kNotified, kTimeout };
 
-// How Process execution contexts are implemented; see the header comment.
-enum class EngineBackend : std::uint8_t { kFibers, kThreads };
-
 class Process {
  public:
   Process(const Process&) = delete;
   Process& operator=(const Process&) = delete;
-  ~Process();
 
   const std::string& name() const { return name_; }
   bool finished() const { return finished_; }
@@ -97,9 +83,9 @@ class Process {
   Engine& engine() const { return engine_; }
 
   // Opaque process-local binding slot for upper layers (the SHMEM runtime
-  // parks its per-PE Context here). Process-local, NOT thread-local: under
-  // the fiber backend every process shares one OS thread, so identity that
-  // must follow a process across blocks has to live on the Process itself.
+  // parks its per-PE Context here). Process-local, NOT thread-local: every
+  // process shares the engine's OS thread, so identity that must follow a
+  // process across blocks has to live on the Process itself.
   void set_user_binding(void* b) { user_binding_ = b; }
   void* user_binding() const { return user_binding_; }
 
@@ -110,15 +96,13 @@ class Process {
   Process(Engine& engine, std::string name, std::function<void()> body,
           bool daemon);
 
-  void start_thread();  // kThreads: launch the backing OS thread
   // Yields control back to the scheduler; returns when rescheduled.
   void block();
-  // Runs the body with the shared exception protocol, then does the
-  // finished-process accounting. Both backends funnel through here.
-  void run_body_and_finish();
   void mark_finished();
-  // Fiber entry point; reads the process to start from the engine's
-  // current-process binding (set by Engine::resume before the switch).
+  // Fiber entry point: runs the body with the engine's exception protocol,
+  // then does the finished-process accounting. Reads the process to start
+  // from the current-process binding (set by Engine::resume before the
+  // switch).
   static void fiber_trampoline();
 
   Engine& engine_;
@@ -134,18 +118,15 @@ class Process {
   std::uint64_t epoch_ = 0;
   WakeReason wake_reason_ = WakeReason::kNone;
   Event* waiting_on_ = nullptr;  // diagnostics + timeout cleanup
-  // kFibers: created lazily on first resume (a process killed before it
-  // ever ran needs no stack); stack released eagerly on finish.
+  // Created lazily on first resume (a process killed before it ever ran
+  // needs no stack); stack released eagerly on finish.
   std::unique_ptr<Fiber> fiber_;
-  // kThreads only.
-  std::binary_semaphore resume_{0};
-  std::thread thread_;
   void* user_binding_ = nullptr;  // see set_user_binding()
 };
 
-// The process currently executing on the calling OS thread, or nullptr in
-// scheduler/callback context. Identical semantics under both backends: the
-// binding is set just before a process runs and cleared when it yields.
+// The process currently executing, or nullptr in scheduler/callback
+// context: the binding is set just before a process runs and cleared when
+// it yields.
 Process* current_process() noexcept;
 
 // Handle for a scheduled inline callback; cancel() is idempotent and safe
@@ -170,17 +151,12 @@ class CallbackHandle {
 
 class Engine {
  public:
-  // Default backend: NTBSHMEM_SIM_BACKEND ("fibers" | "threads"), fibers
-  // when unset. The explicit-backend overload pins it programmatically
-  // (used by bench_sim_engine's ablation and the backend-parity tests).
   Engine();
-  explicit Engine(EngineBackend backend);
   ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
   Time now() const { return now_; }
-  EngineBackend backend() const { return backend_; }
 
   // Creates a process; it is scheduled to start at the current time.
   // Daemon processes (service threads) do not keep run() alive.
@@ -360,20 +336,29 @@ class Engine {
   [[noreturn]] void throw_deadlock();
 
   // True when the item can no longer dispatch (recycled/cancelled callback
-  // slot, finished process, stale epoch). Retires cancelled callback slots
-  // as a side effect, exactly like the old inline dispatch loop did.
+  // slot, finished process, stale epoch). No side effects.
+  bool is_stale(const QueueItem& item) const {
+    if (item.process == nullptr) {
+      const CallbackSlot& s = cb_slots_[item.cb_slot];
+      return s.gen != item.epoch_or_gen || s.cancelled;
+    }
+    return item.process->finished() ||
+           item.epoch_or_gen != item.process->epoch_;
+  }
+  // is_stale() for an item popped for good: also retires the cancelled
+  // callback slot it finds, so the slot pool sees every cancellation in
+  // dispatch order.
   bool item_stale(const QueueItem& item);
   // Pops queue items until a non-stale one is found; false when drained.
   bool pop_runnable(QueueItem* out);
   // The dispatcher front end: without a hook, pop_runnable; with a hook,
   // collect the same-timestamp runnable frontier, let the hook choose, and
-  // re-queue the rest with their original keys.
+  // re-queue the rest (and every stale item seen) with their original keys.
   bool next_dispatch(QueueItem* out);
 
-  EngineBackend backend_;
   std::size_t fiber_stack_bytes_;
   // The scheduler side of every fiber switch: the engine thread's own
-  // context. Unused (but inert) under kThreads.
+  // context.
   Fiber sched_fiber_;
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
@@ -391,7 +376,6 @@ class Engine {
   BranchHook* hook_ = nullptr;
   FaultPlan* faults_ = nullptr;
   obs::Hub* obs_ = nullptr;
-  std::binary_semaphore sched_sem_{0};  // kThreads handoff
   std::exception_ptr first_error_;
   bool shutting_down_ = false;
   bool digest_enabled_ = false;

@@ -25,6 +25,7 @@
 #endif
 
 #if defined(NTBSHMEM_FIBER_ASAN)
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 #if defined(NTBSHMEM_FIBER_TSAN)
@@ -163,6 +164,11 @@ void Fiber::release_dead() {
   if (!thread_fiber_) tsan_fiber_ = nullptr;
 #endif
   if (map_base_ != nullptr) {
+#if defined(NTBSHMEM_FIBER_ASAN)
+    // The entry frame never returns, so ASan never clears its redzones;
+    // clear them before munmap lets a later stack reuse these addresses.
+    __asan_unpoison_memory_region(stack_lo_, usable_size_);
+#endif
     munmap(map_base_, map_size_);
     map_base_ = nullptr;
     stack_lo_ = nullptr;

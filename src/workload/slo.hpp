@@ -37,7 +37,7 @@ struct SloLink {
 
 struct SloReport {
   std::string scenario;
-  std::string backend;     // "fibers" | "threads" (sim engine) | "shm"
+  std::string backend;     // "sim" | "shm", as named by --backend
   std::string clock = "virtual";  // "virtual" (sim ns) | "wall" (CLOCK_MONOTONIC)
   std::string topology;    // e.g. "ring", "torus2d-4x4", "chordal+2+5"
   std::string tuning;      // "paper" | "pipelined" | "+reliable" suffix
@@ -63,7 +63,6 @@ struct SloReport {
 };
 
 // ---- Metadata naming (shared with bench_util artifacts) ---------------------
-std::string backend_name(const sim::Engine& engine);
 std::string topology_name(const fabric::TopologySpec& spec);
 std::string tuning_name(const shmem::TransportTuning& tuning);
 std::string fault_plan_name(const sim::FaultSpec& faults);

@@ -3,8 +3,7 @@
 // instead of round-tripping through the queue. Installing a branch hook
 // turns the fast path off, and a hook that always picks index 0 dispatches
 // in the unhooked order, so the same workload run both ways must produce
-// the same schedule digest, dispatch count and clock. The thread backend
-// never takes the fast path either and also pins callback-slot use.
+// the same schedule digest, dispatch count, clock and callback-slot use.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -45,9 +44,8 @@ struct Outcome {
 // timeouts racing notify_all at the same instants, yields, a daemon that
 // outlives the first run(), and a second run() with fresh processes and far
 // timers parked in the calendar queue's overflow ladder.
-Outcome run_mixed(EngineBackend backend, std::uint64_t tiebreak_seed,
-                  BranchHook* hook) {
-  Engine engine(backend);
+Outcome run_mixed(std::uint64_t tiebreak_seed, BranchHook* hook) {
+  Engine engine;
   engine.set_tiebreak_permutation(tiebreak_seed);
   engine.enable_schedule_digest();
   engine.set_branch_hook(hook);
@@ -161,25 +159,20 @@ Outcome run_mixed(EngineBackend backend, std::uint64_t tiebreak_seed,
 class FastPathParity : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FastPathParity, SlowPathsReplayTheSameSchedule) {
-  const Outcome fast = run_mixed(EngineBackend::kFibers, GetParam(), nullptr);
+  const Outcome fast = run_mixed(GetParam(), nullptr);
   DefaultHook hook;
-  const Outcome hooked = run_mixed(EngineBackend::kFibers, GetParam(), &hook);
-  const Outcome threads =
-      run_mixed(EngineBackend::kThreads, GetParam(), nullptr);
+  const Outcome hooked = run_mixed(GetParam(), &hook);
 
-  for (const Outcome* slow : {&hooked, &threads}) {
-    EXPECT_EQ(fast.digest, slow->digest);
-    EXPECT_EQ(fast.digest_count, slow->digest_count);
-    EXPECT_EQ(fast.dispatches, slow->dispatches);
-    EXPECT_EQ(fast.end, slow->end);
-    EXPECT_EQ(fast.log, slow->log);
-    EXPECT_EQ(slow->fast, 0u);
-  }
-  // Slot-pool use is compared with the unhooked thread backend only: the
-  // hooked dispatcher drains stale entries past each frontier it collects,
-  // so it can free a cancelled slot earlier than an unhooked run does.
-  EXPECT_EQ(fast.probe_slots, threads.probe_slots);
-  EXPECT_EQ(fast.slots_created, threads.slots_created);
+  EXPECT_EQ(fast.digest, hooked.digest);
+  EXPECT_EQ(fast.digest_count, hooked.digest_count);
+  EXPECT_EQ(fast.dispatches, hooked.dispatches);
+  EXPECT_EQ(fast.end, hooked.end);
+  EXPECT_EQ(fast.log, hooked.log);
+  EXPECT_EQ(hooked.fast, 0u);
+  // Collecting a frontier must not retire cancelled slots ahead of the
+  // unhooked pop order, or the hooked run allocates fewer slots.
+  EXPECT_EQ(fast.probe_slots, hooked.probe_slots);
+  EXPECT_EQ(fast.slots_created, hooked.slots_created);
 
   // Not vacuous: the plain run took the fast path, and the hook actually
   // arbitrated same-instant frontiers.
@@ -195,7 +188,7 @@ INSTANTIATE_TEST_SUITE_P(TieBreakSeeds, FastPathParity,
 
 // A lone process never leaves its fiber: every wait is the next dispatch.
 TEST(FastPathTest, LoneProcessRunsEveryWaitInPlace) {
-  Engine engine(EngineBackend::kFibers);
+  Engine engine;
   engine.spawn("p", [&] {
     for (int i = 0; i < 10; ++i) engine.wait_for(nsec(5));
     engine.yield();
@@ -208,7 +201,7 @@ TEST(FastPathTest, LoneProcessRunsEveryWaitInPlace) {
 
 // Work queued at the wake-up instant runs first, as FIFO order demands.
 TEST(FastPathTest, SameInstantWorkTakesTheSlowPath) {
-  Engine engine(EngineBackend::kFibers);
+  Engine engine;
   std::vector<std::string> order;
   engine.spawn("a", [&] {
     engine.call_after(nsec(10), [&] { order.push_back("cb@10"); });
@@ -218,17 +211,6 @@ TEST(FastPathTest, SameInstantWorkTakesTheSlowPath) {
   engine.run();
   const std::vector<std::string> want = {"cb@10", "a@10"};
   EXPECT_EQ(order, want);
-  EXPECT_EQ(engine.fast_dispatch_count(), 0u);
-}
-
-// The thread backend is the ablation baseline and never short-circuits.
-TEST(FastPathTest, ThreadBackendAlwaysRoundTrips) {
-  Engine engine(EngineBackend::kThreads);
-  engine.spawn("p", [&] {
-    for (int i = 0; i < 4; ++i) engine.wait_for(nsec(5));
-  });
-  engine.run();
-  EXPECT_EQ(engine.dispatch_count(), 5u);
   EXPECT_EQ(engine.fast_dispatch_count(), 0u);
 }
 

@@ -2,13 +2,16 @@
 // runs on one engine, and determinism at scale.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "sim/bandwidth.hpp"
+#include "sim/branch.hpp"
 #include "sim/engine.hpp"
 #include "sim/event.hpp"
 #include "sim/resource.hpp"
@@ -189,7 +192,7 @@ TEST(StressTest, RunawayRecursionFaultsOnGuardPage) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
-        Engine engine(EngineBackend::kFibers);
+        Engine engine;
         engine.spawn("deep", [] { deep_recursion(1 << 20); });
         engine.run();
       },
@@ -200,7 +203,7 @@ TEST(StressTest, RunawayRecursionFaultsOnGuardPage) {
 // the knob is read at Engine construction.
 TEST(StressTest, FiberStackSizeEnvFixesDeepRecursion) {
   setenv("NTBSHMEM_FIBER_STACK_KiB", "8192", 1);
-  Engine engine(EngineBackend::kFibers);
+  Engine engine;
   unsetenv("NTBSHMEM_FIBER_STACK_KiB");
   ASSERT_EQ(engine.fiber_stack_bytes(), 8192u * 1024u);
   int reached = 0;
@@ -244,11 +247,22 @@ TEST(StressTest, RerunWithPersistentDaemonsKeepsDigest) {
   EXPECT_GT(a.schedule_digest().count(), 0u);
 }
 
-// The two process backends must produce bit-identical schedules — the
-// digest covers (time, seq, kind) of every dispatch.
-TEST(StressTest, FiberAndThreadBackendsProduceIdenticalDigests) {
-  auto run_digest = [](EngineBackend backend) {
-    Engine engine(backend);
+// A run with a default-following branch hook (every dispatch through the
+// queue, no run-next fast path) must replay the plain run's schedule bit
+// for bit — the digest covers (time, seq, kind) of every dispatch.
+TEST(StressTest, PlainAndHookedRunsProduceIdenticalDigests) {
+  struct DefaultHook : BranchHook {
+    std::size_t choose_dispatch(std::size_t) override { return 0; }
+    bool choose_fault(int, const std::string&) override { return false; }
+  };
+  struct Run {
+    std::uint64_t digest = 0;
+    std::uint64_t count = 0;
+    std::uint64_t fast = 0;
+  };
+  auto run_digest = [](BranchHook* hook) {
+    Engine engine;
+    engine.set_branch_hook(hook);
     engine.enable_schedule_digest();
     Resource slots(engine, "slots", 2);
     Event gate(engine, "gate");
@@ -268,13 +282,19 @@ TEST(StressTest, FiberAndThreadBackendsProduceIdenticalDigests) {
       });
     }
     engine.run();
-    return std::pair<std::uint64_t, std::uint64_t>(
-        engine.schedule_digest().value(), engine.schedule_digest().count());
+    engine.set_branch_hook(nullptr);
+    return Run{engine.schedule_digest().value(),
+               engine.schedule_digest().count(),
+               engine.fast_dispatch_count()};
   };
-  const auto fibers = run_digest(EngineBackend::kFibers);
-  const auto threads = run_digest(EngineBackend::kThreads);
-  EXPECT_EQ(fibers, threads);
-  EXPECT_GT(fibers.second, 0u);
+  const Run plain = run_digest(nullptr);
+  DefaultHook hook;
+  const Run hooked = run_digest(&hook);
+  EXPECT_EQ(plain.digest, hooked.digest);
+  EXPECT_EQ(plain.count, hooked.count);
+  EXPECT_GT(plain.count, 0u);
+  EXPECT_GT(plain.fast, 0u);  // the plain run really took the fast path
+  EXPECT_EQ(hooked.fast, 0u);
 }
 
 }  // namespace
