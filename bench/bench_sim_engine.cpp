@@ -15,7 +15,7 @@
 //                        run-next fast path (Engine::fast_dispatch_count()),
 //   * callback_slots_created vs callbacks_scheduled — the slot pool's
 //                        allocation savings (slots << scheduled),
-//   * a fiber stack-size ablation at the 256-host ring point
+//   * a fiber stack-size ablation at the largest ring in the sweep
 //     (NTBSHMEM_FIBER_STACK_KiB respun via setenv between engines).
 //
 // Environment knobs (CI's sim-scale job caps the sweep):
@@ -23,6 +23,7 @@
 //   NTBSHMEM_SCALE_ROUNDS         rounds per run, default 30
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -189,8 +190,9 @@ ScaleSample to_sample(const ScaleResult& r, std::string mode, int hosts,
 
 std::vector<ScaleSample> sweep() {
   const int rounds = env_int("NTBSHMEM_SCALE_ROUNDS", 30);
+  const std::vector<int> host_list = host_counts();
   std::vector<ScaleSample> samples;
-  for (int hosts : host_counts()) {
+  for (int hosts : host_list) {
     for (const char* topo : {"ring", "torus"}) {
       const auto out =
           std::string(topo) == "ring" ? ring_out(hosts) : torus_out(hosts);
@@ -199,10 +201,11 @@ std::vector<ScaleSample> sweep() {
                                   sim::Fiber::default_stack_bytes() / 1024));
     }
   }
-  // Fiber stack-size ablation at the 256-host ring point: the switch cost
+  // Fiber stack-size ablation at the largest swept ring: the switch cost
   // is stack-size independent (only the mmap at first resume grows), which
   // the flat wall times demonstrate.
-  const int ab_hosts = 256;
+  if (host_list.empty()) return samples;
+  const int ab_hosts = *std::max_element(host_list.begin(), host_list.end());
   for (const char* kib : {"64", "256", "1024"}) {
     setenv("NTBSHMEM_FIBER_STACK_KiB", kib, 1);
     const ScaleResult r = measure(ring_out(ab_hosts), rounds);

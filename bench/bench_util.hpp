@@ -78,11 +78,9 @@ class ObsCli {
   }
 
   void apply(shmem::RuntimeOptions& opts) const {
-    if (tracing()) {
-      opts.obs.spans_enabled = true;
-      // Mirror protocol/fault TraceRecorder events onto the timeline too.
-      opts.trace_enabled = true;
-    }
+    // Span tracing also puts fault injections on the timeline (FaultPlan
+    // emits them into the runtime's tracer while it is enabled).
+    if (tracing()) opts.obs.spans_enabled = true;
     if (causal()) opts.obs.causal_enabled = true;
   }
 

@@ -21,6 +21,9 @@ const char* flight_code_name(FlightCode code) {
     case FlightCode::kOooDrop: return "ooo_drop";
     case FlightCode::kBarrierToken: return "barrier_token";
     case FlightCode::kDeliveryAck: return "delivery_ack";
+    case FlightCode::kAckInvalid: return "ack_invalid";
+    case FlightCode::kBarrierRx: return "barrier_rx";
+    case FlightCode::kCutThrough: return "cut_through";
   }
   return "unknown";
 }

@@ -27,8 +27,8 @@ enum class FlightCode : std::uint16_t {
   kGet = 2,          // a: source_pe, b: bytes
   kAtomic = 3,       // a: target_pe, b: atomic op
   kBarrier = 4,      // a: pe
-  kFrameTx = 5,      // a: port, b: doorbell bit, c: frame id/seq
-  kFrameRx = 6,      // a: port, b: frame kind, c: frame id/seq
+  kFrameTx = 5,      // a: port, b: frame route | doorbell bit << 24, c: id
+  kFrameRx = 6,      // a: port, b: frame route, c: frame id
   kAck = 7,          // a: port, b: seq
   kNak = 8,          // a: port, b: seq
   kRetransmit = 9,   // a: port, b: retry count, c: seq
@@ -40,6 +40,31 @@ enum class FlightCode : std::uint16_t {
   kOooDrop = 15,     // a: port, b: got seq, c: expected seq
   kBarrierToken = 16,// a: origin pe, b: direction (0 up, 1 down)
   kDeliveryAck = 17, // a: origin pe, c: op id
+  kAckInvalid = 18,  // a: port, b: raw ack word (failed its redundancy check)
+  kBarrierRx = 19,   // a: BarrierSignal, b: arrival port | token origin pe
+  kCutThrough = 20,  // a: in port, b: out msg id, c: in msg id
+};
+
+// kFrameTx/kFrameRx operand b: the frame's kind | origin_pe << 8 |
+// target_pe << 16, so (kind, origin, target, id) is recoverable from both
+// ends of the wire; kFrameTx adds the doorbell bit in the top byte.
+inline constexpr std::uint32_t frame_route(std::uint8_t kind,
+                                           std::uint8_t origin_pe,
+                                           std::uint8_t target_pe) {
+  return static_cast<std::uint32_t>(kind) |
+         static_cast<std::uint32_t>(origin_pe) << 8 |
+         static_cast<std::uint32_t>(target_pe) << 16;
+}
+inline constexpr std::uint32_t kFrameRouteMask = 0xffffffu;
+
+// kBarrierRx operand a: which barrier signal reached this host. The ring
+// protocol (Fig. 6) delivers start/end doorbells (b = arrival port); the
+// tree protocol delivers up/down tokens (b = token origin pe).
+enum class BarrierSignal : std::uint16_t {
+  kStart = 0,
+  kEnd = 1,
+  kTokenUp = 2,
+  kTokenDown = 3,
 };
 
 // Stable lowercase names for dumps.

@@ -185,11 +185,6 @@ struct RuntimeOptions {
   sim::FaultSpec faults;
   std::uint64_t fault_seed = 0x5eedf00d;
 
-  // Record protocol events (frames, barrier signals, operations) into
-  // Runtime::trace() — used by tests that assert protocol ordering and by
-  // debugging sessions. Off by default: benchmarks must not pay for it.
-  bool trace_enabled = false;
-
   // Typed span tracing + metrics (Runtime::obs(), exported via obs/export).
   ObsOptions obs;
 

@@ -30,7 +30,6 @@
 #include "shmem/transport.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault.hpp"
-#include "sim/trace.hpp"
 
 namespace ntbshmem::backend {
 class Backend;
@@ -185,9 +184,6 @@ class Runtime {
   // (under fork it is the only road a PE's results travel back on).
   std::span<std::byte> pe_scratch(int pe);
 
-  // Protocol trace (populated when options().trace_enabled).
-  sim::TraceRecorder& trace() { return trace_; }
-
   // Observability hub: typed span tracer + metrics registry. Always
   // attached to the engine; spans record only when options().obs asks.
   obs::Hub& obs() { return obs_; }
@@ -248,7 +244,6 @@ class Runtime {
   // binds them), before the contexts (whose heaps live in backend arenas).
   std::unique_ptr<backend::Backend> backend_;
   std::vector<std::unique_ptr<Context>> contexts_;  // one per PE
-  sim::TraceRecorder trace_;
 };
 
 // RAII helper used by Runtime::run to bind the TLS context.

@@ -6,7 +6,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 
 #include "common/sorted.hpp"
 #include "shmem/runtime.hpp"
@@ -14,6 +13,12 @@
 namespace ntbshmem::shmem {
 
 namespace {
+
+// Flight-record operand b of kFrameTx/kFrameRx (obs::frame_route).
+std::uint32_t frame_route(const FrameHeader& h) {
+  return obs::frame_route(static_cast<std::uint8_t>(h.kind), h.origin_pe,
+                          h.target_pe);
+}
 
 // Reassembly key: link-level sender and its message id are unique per hop
 // because each forwarding host assigns fresh ids.
@@ -266,24 +271,6 @@ const TransportTuning& Transport::tuning() const {
   return runtime_.options().tuning;
 }
 
-namespace {
-void append_trace_part(std::string& out, const char* s) { out += s; }
-template <class Int>
-  requires std::is_integral_v<Int>
-void append_trace_part(std::string& out, Int v) {
-  out += std::to_string(v);
-}
-}  // namespace
-
-template <class... Parts>
-void Transport::trace(const char* category, const Parts&... parts) {
-  sim::TraceRecorder& recorder = runtime_.trace();
-  if (!recorder.enabled()) return;
-  std::string message;
-  (append_trace_part(message, parts), ...);
-  recorder.record(runtime_.engine().now(), category, std::move(message));
-}
-
 void Transport::charge_local_copy(std::uint64_t bytes) {
   if (bytes == 0) return;
   runtime_.engine().wait_for(
@@ -417,7 +404,8 @@ void Transport::on_ack(int p) {
     // Corrupted ack word: ignore it; the retransmit timeout recovers and
     // the eventual duplicate is re-acked by the receiver.
     ++stats_.invalid_acks_dropped;
-    trace("retry", "host", host_id_, " invalid ack word dropped");
+    flight_.log(runtime_.engine().now(), obs::FlightCode::kAckInvalid,
+                static_cast<std::uint16_t>(p), regs[kAckReg]);
     return;
   }
   flight_.log(runtime_.engine().now(), obs::FlightCode::kAck,
@@ -427,7 +415,6 @@ void Transport::on_ack(int p) {
 
 void Transport::retire_acked(int p, std::uint8_t acked) {
   TxChannel& ch = channel(p);
-  const sim::Time now = runtime_.engine().now();
   bool any = false;
   // Cumulative: everything at or before `acked` (signed 8-bit distance; the
   // in-flight window is bounded by tx_credits, far below 128).
@@ -437,7 +424,6 @@ void Transport::retire_acked(int p, std::uint8_t acked) {
     ch.inflight.pop_front();
     end_frame_span(p, rec);
     rec.retx_timer.cancel();
-    ch.rel.ack_latency_ns.add(static_cast<double>(now - rec.emitted_at));
     ++ch.rel.acks_matched;
     ch.free_slots.push_back(rec.stage_slot);
     ch.slot.release();
@@ -549,7 +535,6 @@ void Transport::emit_frame_inflight(int p, const FrameHeader& hdr,
     // Re-find by seq: acks for earlier frames may have popped the deque
     // while emit_frame blocked on register writes.
     if (TxChannel::InFlight* r = find_inflight(ch, rec.seq)) {
-      r->emitted_at = runtime_.engine().now();
       arm_retx_timer(p, *r);
     }
   }
@@ -580,9 +565,8 @@ void Transport::emit_frame(int p, const FrameHeader& hdr, int doorbell,
   ++stats_.frames_sent;
   flight_.log(runtime_.engine().now(), obs::FlightCode::kFrameTx,
               static_cast<std::uint16_t>(p),
-              static_cast<std::uint32_t>(doorbell), hdr.id);
-  trace("frame.tx", "host", host_id_, " kind=", static_cast<int>(hdr.kind),
-        " origin=", hdr.origin_pe, " target=", hdr.target_pe, " id=", hdr.id);
+              frame_route(hdr) | static_cast<std::uint32_t>(doorbell) << 24,
+              hdr.id);
 }
 
 Transport::TxChannel::InFlight* Transport::find_inflight(TxChannel& ch,
@@ -612,7 +596,6 @@ void Transport::on_ack_timeout(int p, std::uint8_t seq) {
   flight_.log(runtime_.engine().now(), obs::FlightCode::kAckTimeout,
               static_cast<std::uint16_t>(p),
               static_cast<std::uint32_t>(rec->retries), seq);
-  trace("retry", "host", host_id_, " ack timeout seq=", seq);
   retx_queue_.push_back(RetxRequest{p, seq});
   rel_event_->notify_all();
 }
@@ -627,7 +610,6 @@ void Transport::on_nak(int p) {
   const std::uint8_t seq = ch.inflight.front().seq;
   flight_.log(runtime_.engine().now(), obs::FlightCode::kNak,
               static_cast<std::uint16_t>(p), seq);
-  trace("retry", "host", host_id_, " nak -> retransmit seq=", seq);
   retx_queue_.push_back(RetxRequest{p, seq});
   rel_event_->notify_all();
 }
@@ -664,8 +646,6 @@ void Transport::retransmit(int p, std::uint8_t seq) {
   flight_.log(runtime_.engine().now(), obs::FlightCode::kRetransmit,
               static_cast<std::uint16_t>(p),
               static_cast<std::uint32_t>(rec->retries), seq);
-  trace("retry", "host", host_id_, " retransmit seq=", seq, " attempt=",
-        rec->retries);
   // Header-only re-emission: the payload still sits in the credit-owned
   // staging slot (credits are released by the retiring ack, never earlier).
   // Copy what we need before blocking — the ack for the original emission
@@ -761,8 +741,6 @@ void Transport::window_write(int p, int window, host::Region region,
           flight_.log(engine.now(), obs::FlightCode::kDmaError,
                       static_cast<std::uint16_t>(p),
                       static_cast<std::uint32_t>(attempts));
-          trace("retry", "host", host_id_, " dma descriptor error, retry ",
-                attempts);
           out.clear_dma_error();
           // Re-program the descriptor from scratch (pays dma_setup again).
           ok = out.dma_write(window, off + done, piece,
@@ -906,8 +884,6 @@ void Transport::put(std::uint64_t heap_offset, std::span<const std::byte> src,
               static_cast<std::uint32_t>(src.size()));
   engine.wait_for(timing().sw_overhead);
   ++stats_.puts_issued;
-  trace("op", "pe", origin_pe, " put target=", target_pe,
-        " bytes=", src.size());
   if (src.empty()) return;
   SymmetricHeap& target_heap = runtime_.context(target_pe).heap();
 
@@ -1332,8 +1308,6 @@ void Transport::send_barrier_token(int dst_host, int phase,
   // (one 64-byte control chunk).
   send_message_chunked(routes().next_port(host_id_, dst_host), msg, cause);
   ++stats_.barrier_tokens_sent;
-  trace("barrier", "host", host_id_, " token ", phase == 0 ? "up" : "down",
-        " -> host", dst_host);
 }
 
 // ---- receive side -------------------------------------------------------------
@@ -1353,12 +1327,16 @@ void Transport::rx_service_body() {
           break;
         case RxTokenKind::kBarrierStart:
           ++barrier_start_tokens_;
-          trace("barrier", "host", host_id_, " rx start");
+          flight_.log(runtime_.engine().now(), obs::FlightCode::kBarrierRx,
+                      static_cast<std::uint16_t>(obs::BarrierSignal::kStart),
+                      static_cast<std::uint32_t>(token.from));
           barrier_event_->notify_all();
           break;
         case RxTokenKind::kBarrierEnd:
           ++barrier_end_tokens_;
-          trace("barrier", "host", host_id_, " rx end");
+          flight_.log(runtime_.engine().now(), obs::FlightCode::kBarrierRx,
+                      static_cast<std::uint16_t>(obs::BarrierSignal::kEnd),
+                      static_cast<std::uint32_t>(token.from));
           barrier_event_->notify_all();
           break;
       }
@@ -1459,7 +1437,6 @@ bool Transport::accept_frame_seq(const RxToken& token, const FrameHeader& f) {
     ++stats_.frames_duplicate_dropped;
     flight_.log(runtime_.engine().now(), obs::FlightCode::kDupDrop,
                 static_cast<std::uint16_t>(token.from), f.flags);
-    trace("retry", "host", host_id_, " duplicate seq=", f.flags, " re-acked");
     ack_frame(token.from);
     return false;
   }
@@ -1468,8 +1445,6 @@ bool Transport::accept_frame_seq(const RxToken& token, const FrameHeader& f) {
   ++stats_.frames_out_of_order_dropped;
   flight_.log(runtime_.engine().now(), obs::FlightCode::kOooDrop,
               static_cast<std::uint16_t>(token.from), f.flags, expected);
-  trace("retry", "host", host_id_, " out-of-order seq=", f.flags,
-        " expected=", expected);
   nak_frame(token.from);
   return false;
 }
@@ -1513,8 +1488,7 @@ void Transport::process_frame(const RxToken& token) {
   }
   const FrameHeader f = FrameHeader::unpack(regs);
   flight_.log(engine.now(), obs::FlightCode::kFrameRx,
-              static_cast<std::uint16_t>(from),
-              static_cast<std::uint32_t>(f.kind), f.id);
+              static_cast<std::uint16_t>(from), frame_route(f), f.id);
   if (reliability_on()) {
     // One more register read: the checksum the sender wrote into reg 7.
     runtime_.engine().wait_for(in.config().reg_read);
@@ -1522,15 +1496,12 @@ void Transport::process_frame(const RxToken& token) {
       ++stats_.frames_corrupt_dropped;
       flight_.log(engine.now(), obs::FlightCode::kChecksumDrop,
                   static_cast<std::uint16_t>(from), 0, frame_checksum(regs));
-      trace("retry", "host", host_id_, " checksum mismatch -> nak");
       nak_frame(from);
       return;
     }
     if (!accept_frame_seq(token, f)) return;
   }
   ++stats_.frames_received;
-  trace("frame.rx", "host", host_id_, " kind=", static_cast<int>(f.kind),
-        " origin=", f.origin_pe, " target=", f.target_pe, " id=", f.id);
 
   switch (f.kind) {
     case FrameKind::kDirectPut: {
@@ -1611,8 +1582,8 @@ bool Transport::try_cut_through(const FrameHeader& f, int from,
                                       forward_port(mh.target_pe, from)})
              .first;
     ++stats_.messages_forwarded;
-    trace("cut_through", "host", host_id_, " msg ", f.id, " -> out msg ",
-          it->second.out_msg_id);
+    flight_.log(runtime_.engine().now(), obs::FlightCode::kCutThrough,
+                static_cast<std::uint16_t>(from), it->second.out_msg_id, f.id);
   }
   CutThrough& ct = it->second;
   // Copy the chunk out of the staging slot and put it on the forward queue
@@ -1688,8 +1659,11 @@ void Transport::dispatch_message(std::vector<std::byte> message, int from) {
       } else {
         ++barrier_down_tokens_;
       }
-      trace("barrier", "host", host_id_, " rx token ",
-            mh.operand1 == 0 ? "up" : "down");
+      flight_.log(runtime_.engine().now(), obs::FlightCode::kBarrierRx,
+                  static_cast<std::uint16_t>(
+                      mh.operand1 == 0 ? obs::BarrierSignal::kTokenUp
+                                       : obs::BarrierSignal::kTokenDown),
+                  mh.origin_pe);
       barrier_event_->notify_all();
       return;
   }

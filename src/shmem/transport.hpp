@@ -72,7 +72,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "fabric/fabric.hpp"
 #include "obs/hub.hpp"
 #include "shmem/message.hpp"
@@ -190,9 +189,6 @@ class Transport {
   // ring-like fabrics and the kBarrierToken tree otherwise (or when
   // TransportTuning::topology_collectives opts the ring in).
   void barrier(int origin_pe);
-  // Backwards-compatible alias for barrier() (the historical name; the ring
-  // protocol is selected automatically on ring-like fabrics).
-  void barrier_ring(int origin_pe) { barrier(origin_pe); }
   // Blocks until the RX service signals a local symmetric-heap update
   // (building block of shmem_wait_until).
   void wait_heap_change();
@@ -200,34 +196,23 @@ class Transport {
   const TransportStats& stats() const { return stats_; }
   int host_id() const { return host_id_; }
 
-  // Per-TX-channel reliability counters and ack-latency distribution;
-  // meaningful only with reliability enabled.
+  // Per-TX-channel reliability counters; meaningful only with reliability
+  // enabled.
   struct ChannelReliability {
     std::uint64_t retransmits = 0;
     std::uint64_t ack_timeouts = 0;
     std::uint64_t naks_received = 0;
     std::uint64_t acks_matched = 0;  // in-flight records retired by acks
     std::uint64_t stale_acks = 0;    // cumulative acks that retired nothing
-    RunningStats ack_latency_ns;  // emission -> retiring ack
   };
   // By adapter/port index (port p talks to topology().port(host, p).peer).
   const ChannelReliability& channel_reliability(int port) const {
     return tx_.at(static_cast<std::size_t>(port))->rel;
   }
-  // Ring-surface shim: Direction doubles as the port index (kRight == port
-  // 0, kLeft == port 1), matching fabric::Fabric's ring accessors.
-  const ChannelReliability& channel_reliability(fabric::Direction d) const {
-    return channel_reliability(static_cast<int>(d));
-  }
   // Staging buffer for frames arriving through adapter `in_port` (the
   // bypass buffer of paper Fig. 4; written by that port's peer host).
   host::Region staging_in(int in_port) const {
     return staging_in_.at(static_cast<std::size_t>(in_port));
-  }
-  // Ring-surface shim: frames "from the left" arrive through the left
-  // adapter (port 1), frames "from the right" through port 0.
-  host::Region staging_region(fabric::Direction from) const {
-    return staging_in(static_cast<int>(from));
   }
   // Allocates a fresh completion-domain id (per-PE contexts draw from the
   // host transport so ids never collide between co-resident PEs).
@@ -292,7 +277,6 @@ class Transport {
       int doorbell = 0;
       int retries = 0;
       FrameHeader hdr;
-      sim::Time emitted_at = 0;
       sim::CallbackHandle retx_timer;
       // Async-span id of the frame's lifetime on the exported timeline
       // (emission -> retiring ack); 0 when tracing is off.
@@ -514,11 +498,6 @@ class Transport {
   void send_barrier_token(int dst_host, int phase,
                           const obs::TraceCtx& cause = {});
 
-  // Appends a protocol-trace record when tracing is enabled. The message is
-  // the concatenation of `parts` (C strings and integers), formatted only
-  // while the recorder is on: a disabled recorder costs one branch.
-  template <class... Parts>
-  void trace(const char* category, const Parts&... parts);
   // ---- observability ----
   // Caches tracks/categories/instruments from the engine's obs::Hub (no-op
   // without one); called once from the constructor.

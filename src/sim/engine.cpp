@@ -222,20 +222,19 @@ bool Engine::next_dispatch(QueueItem* out) {
     (is_stale(item) ? passed : frontier).push_back(item);
   }
   for (const QueueItem& item : passed) queue_.push(item);
-  std::size_t pick = 0;
-  if (frontier.size() > 1) {
-    pick = hook_->choose_dispatch(frontier.size());
-    if (pick >= frontier.size()) {
-      throw std::logic_error("BranchHook::choose_dispatch returned " +
-                             std::to_string(pick) + " for a frontier of " +
-                             std::to_string(frontier.size()));
-    }
-  }
+  const std::size_t pick =
+      frontier.size() > 1 ? hook_->choose_dispatch(frontier.size()) : 0;
   // Non-chosen items go back with their ORIGINAL (t, tie, seq) keys: the
   // residual frontier keeps its relative order and is re-offered on the
-  // next dispatch.
+  // next dispatch. An out-of-range pick puts the whole frontier back before
+  // throwing, so the queue still holds every runnable item.
   for (std::size_t i = 0; i < frontier.size(); ++i) {
     if (i != pick) queue_.push(frontier[i]);
+  }
+  if (pick >= frontier.size()) {
+    throw std::logic_error("BranchHook::choose_dispatch returned " +
+                           std::to_string(pick) + " for a frontier of " +
+                           std::to_string(frontier.size()));
   }
   *out = frontier[pick];
   return true;

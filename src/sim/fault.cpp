@@ -2,8 +2,8 @@
 
 #include <cmath>
 
+#include "obs/trace.hpp"
 #include "sim/branch.hpp"
-#include "sim/trace.hpp"
 
 namespace ntbshmem::sim {
 
@@ -96,7 +96,12 @@ std::uint32_t FaultPlan::draw_mask(Site site, const std::string& key) {
 }
 
 void FaultPlan::note(Time now, const std::string& message) {
-  if (trace_ != nullptr) trace_->record(now, "fault", message);
+  if (tracer_ == nullptr || !tracer_->enabled()) return;
+  // Injections are rare: interning per note is fine, and doing it lazily
+  // keeps the track out of exports of runs that inject nothing.
+  tracer_->instant_detail(tracer_->track("faults", "injections"),
+                          tracer_->category("fault"), tracer_->event("fault"),
+                          now, message);
 }
 
 bool FaultPlan::quiet(Site site) const {

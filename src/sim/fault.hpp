@@ -29,10 +29,13 @@
 
 #include "sim/time.hpp"
 
+namespace ntbshmem::obs {
+class Tracer;
+}  // namespace ntbshmem::obs
+
 namespace ntbshmem::sim {
 
 class BranchHook;
-class TraceRecorder;
 
 // One scheduled cable outage: link index `link` goes down at `down_at` and
 // retrains at `up_at` (virtual times).
@@ -103,9 +106,11 @@ class FaultPlan {
   const FaultSpec& spec() const { return spec_; }
   FaultSpec& spec() { return spec_; }
 
-  // Injected events are recorded under the "fault" category when a recorder
-  // is bound (a disabled recorder costs nothing).
-  void bind_trace(TraceRecorder* trace) { trace_ = trace; }
+  // While `tracer` is enabled, each injected event lands on it as a "fault"
+  // instant on track ("faults", "injections") whose detail names the site
+  // (e.g. "doorbell drop host0.right:0"). nullptr detaches; a disabled
+  // tracer costs one branch per injection.
+  void bind_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
   // Arms `count` guaranteed injections at (site, key) that fire on the next
   // `count` decisions there regardless of the configured probability —
@@ -171,7 +176,7 @@ class FaultPlan {
 
   std::uint64_t seed_;
   FaultSpec spec_;
-  TraceRecorder* trace_ = nullptr;
+  obs::Tracer* tracer_ = nullptr;
   BranchHook* hook_ = nullptr;  // explore mode when non-null
   std::uint32_t hook_site_mask_ = 0;
   int fire_budget_ = 0;

@@ -110,7 +110,7 @@ TEST(FlightRecorderTest, ClearResetsRetentionAndTotals) {
 }
 
 TEST(FlightRecorderTest, EveryCodeHasAStableName) {
-  for (int code = 1; code <= 17; ++code) {
+  for (int code = 1; code <= 20; ++code) {
     EXPECT_STRNE(flight_code_name(static_cast<FlightCode>(code)), "unknown")
         << "code " << code;
   }

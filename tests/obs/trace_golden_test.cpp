@@ -34,7 +34,6 @@ RuntimeOptions traced_options() {
   opts.host_memory_bytes = 32u << 20;
   opts.link_dma_rates_Bps = {3.0e9};
   opts.obs.spans_enabled = true;
-  opts.trace_enabled = true;
   return opts;
 }
 
@@ -140,7 +139,8 @@ TEST(TraceGoldenTest, SpanPhasesBalanceOnEveryTrack) {
       --async_open[key];
     }
   }
-  EXPECT_GT(events, 100u);  // a real run, not an empty export
+  // A real run, not an empty export: 72 span-layer events for this workload.
+  EXPECT_GE(events, 72u);
   for (const auto& [tid, d] : depth) {
     EXPECT_EQ(d, 0) << "unclosed sync span on tid " << tid;
   }
@@ -184,10 +184,37 @@ TEST(TraceGoldenTest, RepeatedRunsExportIdenticalTraces) {
   EXPECT_EQ(first, second);
 }
 
+TEST(TraceGoldenTest, FaultInjectionIsAnInstantWithItsDetail) {
+  // A dropped data doorbell, recovered by the reliable tuning, must reach
+  // the exported timeline as one "fault" instant naming the site.
+  RuntimeOptions opts = traced_options();
+  opts.tuning = TransportTuning::reliable(TransportTuning{});
+  Runtime rt(opts);
+  rt.faults().arm_one_shot(sim::FaultPlan::Site::kDoorbell, "host0.right:0");
+  rt.run(put_barrier_workload);
+  ASSERT_EQ(rt.faults().stats().doorbells_dropped, 1u);
+  std::ostringstream out;
+  obs::write_chrome_trace(rt.obs().tracer, out);
+  const std::string json = out.str();
+
+  ASSERT_TRUE(json_well_formed(json));
+  EXPECT_NE(json.find("\"name\":\"process_name\",\"args\":{\"name\":"
+                      "\"faults\"}"),
+            std::string::npos);
+  std::vector<std::string> faults;
+  for (const std::string& line : event_lines(json)) {
+    if (field(line, "cat") == "fault") faults.push_back(line);
+  }
+  ASSERT_EQ(faults.size(), 1u);
+  EXPECT_EQ(field(faults[0], "name"), "fault");
+  EXPECT_EQ(field(faults[0], "ph"), "i");
+  EXPECT_EQ(field(faults[0], "detail"), "doorbell drop host0.right:0");
+  EXPECT_GT(std::stod(field(faults[0], "ts")), 0.0);
+}
+
 TEST(TraceGoldenTest, DisabledSpansRecordNothing) {
   RuntimeOptions opts = traced_options();
   opts.obs.spans_enabled = false;
-  opts.trace_enabled = false;
   Runtime rt(opts);
   rt.run(put_barrier_workload);
 

@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "sim/branch.hpp"
 #include "sim/event.hpp"
 
 namespace ntbshmem::sim {
@@ -202,6 +205,34 @@ TEST(EngineTest, LiveProcessCountTracksCompletion) {
   engine.spawn("b", [&] { engine.wait_for(usec(2)); });
   EXPECT_EQ(engine.live_processes(), 2u);
   engine.run();
+  EXPECT_EQ(engine.live_processes(), 0u);
+}
+
+// Answers every dispatch choice with an index one past the frontier.
+class OutOfRangeHook : public BranchHook {
+ public:
+  std::size_t choose_dispatch(std::size_t n) override { return n; }
+  bool choose_fault(int, const std::string&) override { return false; }
+};
+
+TEST(EngineTest, OutOfRangeDispatchChoiceKeepsTheFrontierQueued) {
+  Engine engine;
+  std::vector<std::string> ran;
+  for (const char* name : {"a", "b", "c"}) {
+    engine.spawn(name, [&ran, name] { ran.emplace_back(name); });
+  }
+  const std::uint64_t queued = engine.state_hash();
+  OutOfRangeHook hook;
+  engine.set_branch_hook(&hook);
+  EXPECT_THROW(engine.run(), std::logic_error);
+  EXPECT_TRUE(ran.empty());
+  // The throw left every runnable item queued under its original key ...
+  EXPECT_EQ(engine.state_hash(), queued);
+  // ... so the plain dispatcher still runs all three, in FIFO order.
+  engine.set_branch_hook(nullptr);
+  engine.run();
+  const std::vector<std::string> want = {"a", "b", "c"};
+  EXPECT_EQ(ran, want);
   EXPECT_EQ(engine.live_processes(), 0u);
 }
 

@@ -7,9 +7,9 @@
 #include <string>
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "sim/branch.hpp"
 #include "sim/fault.hpp"
-#include "sim/trace.hpp"
 
 namespace ntbshmem::sim {
 namespace {
@@ -220,19 +220,34 @@ TEST(FaultPlanTest, SpecAnyReflectsConfiguration) {
 }
 
 TEST(FaultPlanTest, InjectionsAreTracedUnderFaultCategory) {
-  TraceRecorder trace;
-  trace.set_enabled(true);
+  obs::Tracer tracer;
+  tracer.set_enabled(true);
   FaultPlan plan(29, FaultSpec{});
-  plan.bind_trace(&trace);
+  plan.bind_tracer(&tracer);
   plan.arm_one_shot(FaultPlan::Site::kDoorbell, "host0.right:0");
   plan.arm_one_shot(FaultPlan::Site::kIrq, "host1");
   plan.drop_doorbell(5, "host0.right", 0);
   plan.irq_delivery_delay(6, "host1", 3);
-  EXPECT_EQ(trace.count("fault"), 2u);
-  const auto recs = trace.filter("fault");
-  EXPECT_EQ(recs[0].message, "doorbell drop host0.right:0");
-  EXPECT_EQ(recs[0].t, 5);
-  EXPECT_EQ(recs[1].message, "irq delay host1 vec3");
+  ASSERT_EQ(tracer.tracks().size(), 1u);
+  const obs::Tracer::Track& track = tracer.tracks()[0];
+  EXPECT_EQ(track.process, "faults");
+  EXPECT_EQ(track.name, "injections");
+  ASSERT_EQ(track.records.size(), 2u);
+  for (const obs::TraceRecord& r : track.records) {
+    EXPECT_EQ(r.kind, obs::RecordKind::kInstant);
+    EXPECT_EQ(tracer.categories().name(r.category), "fault");
+  }
+  EXPECT_EQ(tracer.detail(track.records[0].detail),
+            "doorbell drop host0.right:0");
+  EXPECT_EQ(track.records[0].t, 5);
+  EXPECT_EQ(tracer.detail(track.records[1].detail), "irq delay host1 vec3");
+  EXPECT_EQ(track.records[1].t, 6);
+
+  // A disabled tracer records nothing; the injection itself still fires.
+  tracer.set_enabled(false);
+  plan.arm_one_shot(FaultPlan::Site::kDoorbell, "host0.right:0");
+  EXPECT_TRUE(plan.drop_doorbell(7, "host0.right", 0));
+  EXPECT_EQ(track.records.size(), 2u);
 }
 
 }  // namespace

@@ -154,7 +154,6 @@ sim::PathOutcome run_one_path(const CheckOptions& opts, sim::ScriptedHook& hook,
   shmem::RuntimeOptions options = make_config(opts.config);
   options.tuning.bug_ack_before_write = opts.seed_bug;
   if (audited) {
-    options.trace_enabled = true;
     options.obs.causal_enabled = true;
     options.schedule_digest = true;
   }
